@@ -1,31 +1,20 @@
-"""Simulator wall-clock speed: parked-PE wakeups and the fast backend.
+"""Simulator wall-clock speed: parked-PE wakeups.
 
-Two independent simulator optimisations are measured here, each against
-a bit-exactness assertion so the speedups cannot come from changed
-semantics:
+The **parked-PE wakeup scheduler** (``repro/arch/wakeup.py``) elides
+idle PEs' empty poll events.  It is measured on an idle-heavy workload,
+a long serial dependency chain on a 16-PE machine, against a
+bit-exactness assertion so the speedup cannot come from changed
+semantics.
 
-* the **parked-PE wakeup scheduler** (``repro/arch/wakeup.py``), which
-  elides idle PEs' empty poll events — measured on an idle-heavy
-  workload, a long serial dependency chain on a 16-PE machine;
-* the **fast kernel backend** (``repro/kernel/fast.py``,
-  docs/KERNEL.md), which replaces the generator-heap engine's per-event
-  machinery with slot records, tick buckets and run-ahead — measured at
-  the kernel level on a serial chain of timeouts, the case run-ahead
-  collapses into a plain ``send`` loop.
-
-Wall-clock comparisons use best-of-N timing because CI boxes are noisy.
-Run with ``-s`` to see the measured event counts and speedups.
+Run with ``-s`` to see the measured event counts and speedup.
 """
 
 import time
-
-import pytest
 
 from repro.arch.accelerator import FlexAccelerator
 from repro.arch.config import flex_config
 from repro.core.context import Worker
 from repro.core.task import HOST_CONTINUATION, Task
-from repro.kernel import Timeout, make_engine
 
 
 class SerialChainWorker(Worker):
@@ -100,98 +89,3 @@ def test_parked_wakeup_speedup_on_serial_tail(bench_metrics):
         f"expected >=2x wall-clock speedup, got {speedup:.2f}x "
         f"(polled {polled_s:.3f}s, parked {parked_s:.3f}s)"
     )
-
-
-def _kernel_chain(backend: str, links: int, step: int = 7):
-    """One serial chain of ``links`` timeouts on a bare kernel."""
-    eng = make_engine(backend)
-    finished = []
-
-    def chain():
-        for _ in range(links):
-            yield Timeout(step)
-        finished.append(eng.now)
-
-    eng.process(chain(), name="chain")
-    start = time.perf_counter()
-    end = eng.run()
-    elapsed = time.perf_counter() - start
-    return (end, finished, eng.live_processes, eng.pending_events), elapsed
-
-
-def test_fast_backend_speedup_on_kernel_serial_chain(bench_metrics):
-    """The fast backend's run-ahead on the pure serial-tail kernel load.
-
-    A single process advancing the clock alone is the reference
-    engine's worst constant-factor case (heap push + pop + closure per
-    event) and the fast backend's best (a bare ``send`` loop).  The
-    same chain must produce the identical simulated timeline on both
-    backends, at least twice as fast on the fast one.
-    """
-    links = 500_000
-    best = {}
-    outcomes = {}
-    for backend in ("reference", "fast"):
-        timings = []
-        for _ in range(3):
-            outcome, elapsed = _kernel_chain(backend, links)
-            outcomes[backend] = outcome
-            timings.append(elapsed)
-        best[backend] = min(timings)
-
-    # Bit-exact first: same end time, finish tick, and drained state.
-    assert outcomes["fast"] == outcomes["reference"]
-    assert outcomes["fast"][0] == links * 7
-
-    speedup = best["reference"] / best["fast"]
-    bench_metrics.gauge("simspeed.backend_reference_seconds",
-                        "reference-backend kernel chain wall-clock",
-                        volatile=True).set(best["reference"])
-    bench_metrics.gauge("simspeed.backend_fast_seconds",
-                        "fast-backend kernel chain wall-clock",
-                        volatile=True).set(best["fast"])
-    bench_metrics.gauge("simspeed.backend_speedup",
-                        "reference/fast kernel-chain wall-clock",
-                        volatile=True).set(speedup)
-    print(f"\nsimspeed backends: reference {best['reference']:.3f}s, "
-          f"fast {best['fast']:.3f}s ({speedup:.1f}x) on a "
-          f"{links}-link chain")
-    assert speedup >= 2.0, (
-        f"expected >=2x wall-clock speedup from the fast backend, got "
-        f"{speedup:.2f}x (reference {best['reference']:.3f}s, "
-        f"fast {best['fast']:.3f}s)"
-    )
-
-
-def test_fast_backend_accelerator_ratio_informational(bench_metrics):
-    """Full-accelerator wall-clock ratio, recorded but not asserted.
-
-    On real accelerator workloads the shared PE generator bodies
-    dominate (~70% of wall-clock), so the end-to-end gain from the fast
-    backend is structurally modest (~1.1–1.4x); the gauge tracks it
-    without failing the suite on scheduler noise.  Bit-exactness *is*
-    asserted — it is a semantics property, not a timing one.
-    """
-    def run(backend):
-        config = flex_config(16, memory="perfect", park_idle_pes=True,
-                             backend=backend)
-        accel = FlexAccelerator(config, SerialChainWorker(400))
-        start = time.perf_counter()
-        result = accel.run(Task("CHAIN", HOST_CONTINUATION, (200,)))
-        return result, time.perf_counter() - start
-
-    times = {}
-    for backend in ("reference", "fast"):
-        results, timings = zip(*(run(backend) for _ in range(3)))
-        times[backend] = min(timings)
-        cycles = {r.cycles for r in results}
-        assert len(cycles) == 1
-        times[backend + "_cycles"] = cycles.pop()
-
-    assert times["fast_cycles"] == times["reference_cycles"]
-    ratio = times["reference"] / times["fast"]
-    bench_metrics.gauge("simspeed.backend_accel_ratio",
-                        "reference/fast accelerator-level wall-clock "
-                        "(informational)", volatile=True).set(ratio)
-    print(f"\nsimspeed accel-level: reference {times['reference']:.3f}s, "
-          f"fast {times['fast']:.3f}s ({ratio:.2f}x)")

@@ -40,7 +40,7 @@ from repro.core.exceptions import (
 from repro.core.task import Continuation, Task
 from repro.mem.hierarchy import MemoryHierarchy, PerfectMemory, StreamBufferMemory
 from repro.sched import make_policy
-from repro.kernel import make_engine
+from repro.kernel import Engine
 from repro.workload import DEFAULT_TENANT_NAME, Job, JobRecord, Tenant
 
 #: Default simulation cycle budget before declaring deadlock.
@@ -76,7 +76,7 @@ class BaseAccelerator:
     def __init__(self, config: AcceleratorConfig, worker: Worker) -> None:
         self.config = config
         self.worker = worker
-        self.engine = make_engine(config.backend)
+        self.engine = Engine()
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()

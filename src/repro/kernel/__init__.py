@@ -1,98 +1,42 @@
-"""Simulation-kernel boundary: interface, backends, and selection.
+"""The simulation kernel: the discrete-event engine every model runs on.
 
 The kernel is the one layer allowed to know how events are represented
 and dispatched.  Everything above it (``arch``, ``sched``, ``obs``,
-``resil``, ``exec``, the CLI) programs against
-:class:`~repro.kernel.interface.SimKernel` and obtains an engine via
-:func:`make_engine`.
-
-Backend selection resolves in this order:
-
-1. an explicit name (``AcceleratorConfig.backend`` or
-   ``repro run --backend``) other than ``"auto"``;
-2. the ``REPRO_BACKEND`` environment variable, when the name is
-   ``"auto"`` (the config default) — this is the fleet-wide switch CI
-   uses for the fast-backend tier-1 job, and it does not perturb
-   job-spec digests the way an explicit config override does;
-3. the ``reference`` backend.
-
-Every backend is bound by the bit-exactness contract in
-``docs/KERNEL.md``: identical cycle counts, steal digests, statistics,
-and traces on every workload, enforced by the backend-parametrized
-golden suites.
+``resil``, ``exec``, the CLI) constructs an :class:`Engine` and
+programs against it; ``docs/KERNEL.md`` states the contract.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-from repro.core.exceptions import ConfigError
-from repro.kernel.fast import FastChannel, FastEngine
-from repro.kernel.interface import (
-    ChannelBase,
+from repro.kernel.engine import (
+    Channel,
+    Engine,
     Event,
     Get,
     Park,
     Process,
-    SimKernel,
     SimulationError,
     Timeout,
-    validated_delay,
 )
-from repro.kernel.reference import ReferenceChannel, ReferenceEngine
-
-#: Environment variable consulted when the configured backend is "auto".
-BACKEND_ENV = "REPRO_BACKEND"
-
-BACKENDS = {
-    "reference": ReferenceEngine,
-    "fast": FastEngine,
-}
-
-#: Concrete backend names, in documentation order.
-BACKEND_NAMES = ("reference", "fast")
-
-#: Names accepted by config/CLI validation.
-BACKEND_CHOICES = ("auto",) + BACKEND_NAMES
 
 
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name (or ``None``/"auto") to a concrete one."""
-    if name is None or name == "auto":
-        name = os.environ.get(BACKEND_ENV, "") or "reference"
-    if name not in BACKENDS:
-        raise ConfigError(
-            f"unknown kernel backend {name!r}: choose from "
-            f"{', '.join(BACKEND_CHOICES)} "
-            f"(${BACKEND_ENV} sets the 'auto' default)"
-        )
-    return name
+def resolve_backend() -> str:
+    """Name of the kernel implementation, for benchmark report lines.
 
-
-def make_engine(backend: Optional[str] = None) -> SimKernel:
-    """Build a kernel engine for ``backend`` (default: resolve "auto")."""
-    return BACKENDS[resolve_backend(backend)]()
+    There is a single engine, so this is always ``"reference"`` — the
+    name earlier benchmark records used for it.
+    """
+    return "reference"
 
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_CHOICES",
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "ChannelBase",
+    "Channel",
+    "Engine",
     "Event",
-    "FastChannel",
-    "FastEngine",
     "Get",
     "Park",
     "Process",
-    "ReferenceChannel",
-    "ReferenceEngine",
-    "SimKernel",
     "SimulationError",
     "Timeout",
-    "make_engine",
     "resolve_backend",
-    "validated_delay",
 ]

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.lfsr import default_seed
+from repro.core.lfsr import LFSR16, default_seed
 
 
 class AdmissionView(NamedTuple):
@@ -89,10 +89,7 @@ class PEScheduler:
         self.accel = pe.accel
         self.pe_id = pe.pe_id
         self.tile_id = pe.tile_id
-        # The draw stream comes from the kernel (docs/KERNEL.md) so a
-        # compiled backend can inline it; the bit sequence is pinned to
-        # LFSR16 either way.
-        self.lfsr = pe.accel.engine.lfsr(default_seed(pe.pe_id))
+        self.lfsr = LFSR16(default_seed(pe.pe_id))
         # Steal statistics measure load balancing *between PEs*.  A
         # single-PE machine has no peers: its only victim is the IF
         # block, and those root-fetch handshakes are interface protocol,

@@ -1,28 +1,16 @@
-"""Discrete-event simulation kernel used by the ParallelXL models.
+"""Simulation support shared by the ParallelXL models.
 
-The kernel advances an integer tick counter through an event heap.  Model
-components are written as Python generator *processes* that yield request
-objects (:class:`Timeout`, :class:`Get`, :class:`Event`, :class:`Park`) and
-are resumed by the :class:`Engine` when the request is satisfied.  Latencies
-between
-components are expressed with :class:`Channel` objects, and clock-domain
-conversions (the paper's 200 MHz fabric / 400 MHz accelerator L1 / 1 GHz CPU
-and L2) are handled by :class:`ClockDomain`.
+Clock-domain conversions (the paper's 200 MHz fabric / 400 MHz
+accelerator L1 / 1 GHz CPU and L2) are handled by :class:`ClockDomain`,
+and components record statistics through the :mod:`repro.sim.stats`
+primitives.  The discrete-event engine itself lives in
+:mod:`repro.kernel`.
 """
 
-from repro.sim.engine import Engine, Event, Get, Park, Process, Timeout
-from repro.sim.channel import Channel
 from repro.sim.timing import ClockDomain
 from repro.sim.stats import Counter, Histogram, StatsRegistry, UtilizationTracker
 
 __all__ = [
-    "Engine",
-    "Event",
-    "Get",
-    "Park",
-    "Process",
-    "Timeout",
-    "Channel",
     "ClockDomain",
     "Counter",
     "Histogram",

@@ -32,19 +32,19 @@ def signature(result):
     }
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", ["reference"], indirect=True)
 @pytest.mark.parametrize("name,params", [
     ("fib", {"n": 20}),
     ("quicksort", None),
     ("uts", None),
 ])
-def test_flex8_bit_exact_with_parking(name, params, backend):
+def test_flex8_bit_exact_with_parking(name, params, kernel):
     # Parking exercises resume_at's virtual ancestry — the trickiest
-    # ordering path in either kernel backend, so pin it on both.
+    # ordering path in the kernel.
     polled = run_flex(name, 8, quick=True, params=params,
-                      park_idle_pes=False, backend=backend)
+                      park_idle_pes=False)
     parked = run_flex(name, 8, quick=True, params=params,
-                      park_idle_pes=True, backend=backend)
+                      park_idle_pes=True)
     assert signature(parked) == signature(polled)
     # The speedup is real, not semantic: events were actually elided.
     assert parked.counters["park.events_elided"] > 0

@@ -33,6 +33,11 @@ class TestMakeSpec:
         with pytest.raises(ConfigError, match="l1_sise"):
             make_spec("fib", 4, l1_sise=8192)
 
+    def test_removed_backend_override_rejected(self):
+        # There is one simulation kernel; the old backend switch is gone.
+        with pytest.raises(ConfigError, match="backend"):
+            make_spec("fib", 4, backend="fast")
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError, match="warp"):
             make_spec("fib", 4, engine="warp")

@@ -43,13 +43,12 @@ def signature(result):
     }
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", ["reference"], indirect=True)
 @pytest.mark.parametrize("name", ["fib", "uts"])
-def test_zero_rate_plan_is_bit_exact(name, backend):
-    plain = run_flex(name, 8, quick=True, park_idle_pes=False,
-                     backend=backend)
+def test_zero_rate_plan_is_bit_exact(name, kernel):
+    plain = run_flex(name, 8, quick=True, park_idle_pes=False)
     nulled = run_flex(name, 8, quick=True, park_idle_pes=False,
-                      faults=FaultSpec(), backend=backend)
+                      faults=FaultSpec())
     assert signature(nulled) == signature(plain)
     # The plan was attached and consulted zero times.
     assert nulled.counters["faults.injected"] == 0

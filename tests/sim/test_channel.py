@@ -1,17 +1,15 @@
-"""Unit tests for latency/bandwidth channels, on both kernel backends.
-
-Channels are built through the engine factory (``engine.channel``) so
-each backend's own channel class is under test.
-"""
+"""Unit tests for latency/bandwidth channels built by ``Engine.channel``."""
 
 import pytest
 
-from repro.kernel import FastEngine, Get, ReferenceEngine, Timeout
+from repro.kernel import Engine, Get, Timeout
+
+pytestmark = pytest.mark.usefixtures("kernel")
 
 
-@pytest.fixture(params=["reference", "fast"])
-def eng(request):
-    return {"reference": ReferenceEngine, "fast": FastEngine}[request.param]()
+@pytest.fixture
+def eng():
+    return Engine()
 
 
 def test_put_get_with_latency(eng):
@@ -94,10 +92,3 @@ def test_counts(eng):
     eng.run()
     assert ch.put_count == 2
     assert len(ch) == 2
-
-
-def test_legacy_channel_import_is_reference_channel():
-    from repro.kernel import ReferenceChannel
-    from repro.sim.channel import Channel
-
-    assert Channel is ReferenceChannel

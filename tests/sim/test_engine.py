@@ -1,28 +1,14 @@
-"""Unit tests for the discrete-event kernel, run against both backends.
-
-Every test is parametrized over the ``reference`` and ``fast`` backends
-via the ``Engine`` fixture — the kernel interface contract
-(docs/KERNEL.md) says any backend must pass the same suite.
-"""
+"""Unit tests for the discrete-event engine (docs/KERNEL.md)."""
 
 import pytest
 
-from repro.kernel import (
-    FastEngine,
-    Get,
-    Park,
-    ReferenceEngine,
-    SimulationError,
-    Timeout,
-)
+from repro.core.lfsr import LFSR16
+from repro.kernel import Engine, Get, Park, SimulationError, Timeout
+
+pytestmark = pytest.mark.usefixtures("kernel")
 
 
-@pytest.fixture(params=["reference", "fast"])
-def Engine(request):
-    return {"reference": ReferenceEngine, "fast": FastEngine}[request.param]
-
-
-def test_schedule_runs_in_time_order(Engine):
+def test_schedule_runs_in_time_order():
     eng = Engine()
     order = []
     eng.schedule(5, lambda: order.append("b"))
@@ -33,7 +19,7 @@ def test_schedule_runs_in_time_order(Engine):
     assert eng.now == 9
 
 
-def test_same_time_events_fifo(Engine):
+def test_same_time_events_fifo():
     eng = Engine()
     order = []
     for tag in ("first", "second", "third"):
@@ -42,13 +28,13 @@ def test_same_time_events_fifo(Engine):
     assert order == ["first", "second", "third"]
 
 
-def test_negative_delay_rejected(Engine):
+def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
         eng.schedule(-1, lambda: None)
 
 
-def test_fractional_delay_rejected(Engine):
+def test_fractional_delay_rejected():
     """Non-integral delays are modelling bugs: fail loudly, never truncate."""
     eng = Engine()
     with pytest.raises(ValueError, match="non-integral"):
@@ -64,7 +50,7 @@ def test_fractional_delay_rejected(Engine):
     assert eng.now == 3
 
 
-def test_timeout_process(Engine):
+def test_timeout_process():
     eng = Engine()
     trace = []
 
@@ -80,7 +66,7 @@ def test_timeout_process(Engine):
     assert trace == [0, 10, 15]
 
 
-def test_process_return_value_and_join(Engine):
+def test_process_return_value_and_join():
     eng = Engine()
     results = []
 
@@ -97,7 +83,7 @@ def test_process_return_value_and_join(Engine):
     assert results == [(7, 42)]
 
 
-def test_join_already_finished_process(Engine):
+def test_join_already_finished_process():
     eng = Engine()
     results = []
 
@@ -116,7 +102,7 @@ def test_join_already_finished_process(Engine):
     assert results == [1]
 
 
-def test_event_trigger_resumes_waiters(Engine):
+def test_event_trigger_resumes_waiters():
     eng = Engine()
     seen = []
     evt = eng.event("go")
@@ -132,7 +118,7 @@ def test_event_trigger_resumes_waiters(Engine):
     assert seen == [("w1", 20, "payload"), ("w2", 20, "payload")]
 
 
-def test_event_double_trigger_raises(Engine):
+def test_event_double_trigger_raises():
     eng = Engine()
     evt = eng.event()
     evt.trigger()
@@ -140,7 +126,7 @@ def test_event_double_trigger_raises(Engine):
         evt.trigger()
 
 
-def test_wait_on_triggered_event_resumes_immediately(Engine):
+def test_wait_on_triggered_event_resumes_immediately():
     eng = Engine()
     evt = eng.event()
     evt.trigger("x")
@@ -155,7 +141,7 @@ def test_wait_on_triggered_event_resumes_immediately(Engine):
     assert got == [(0, "x")]
 
 
-def test_run_until_stops_early(Engine):
+def test_run_until_stops_early():
     eng = Engine()
     fired = []
     eng.schedule(100, lambda: fired.append(True))
@@ -164,7 +150,7 @@ def test_run_until_stops_early(Engine):
     assert not fired
 
 
-def test_run_until_advances_clock_on_drained_heap(Engine):
+def test_run_until_advances_clock_on_drained_heap():
     """A bounded run ends at its horizon even when the heap drains first
     (regression: ``now`` used to stick at the last event's time,
     inconsistent with the stopped-early path)."""
@@ -181,14 +167,14 @@ def test_run_until_advances_clock_on_drained_heap(Engine):
     assert eng.last_event_time == 10
 
 
-def test_run_until_advances_clock_with_no_events_at_all(Engine):
+def test_run_until_advances_clock_with_no_events_at_all():
     eng = Engine()
     assert eng.run(until=40) == 40
     assert eng.now == 40
     assert eng.last_event_time == 0
 
 
-def test_run_until_leaves_pending_events_and_resumes(Engine):
+def test_run_until_leaves_pending_events_and_resumes():
     eng = Engine()
     fired = []
     eng.schedule(100, lambda: fired.append(eng.now))
@@ -203,7 +189,7 @@ def test_run_until_leaves_pending_events_and_resumes(Engine):
     assert eng.finished
 
 
-def test_park_suspends_without_engine_events(Engine):
+def test_park_suspends_without_engine_events():
     eng = Engine()
     trace = []
 
@@ -224,7 +210,7 @@ def test_park_suspends_without_engine_events(Engine):
     assert eng.live_processes == 0
 
 
-def test_resume_at_rejects_the_past_and_bad_ancestry(Engine):
+def test_resume_at_rejects_the_past_and_bad_ancestry():
     eng = Engine()
 
     def sleeper():
@@ -239,7 +225,7 @@ def test_resume_at_rejects_the_past_and_bad_ancestry(Engine):
         eng.resume_at(proc, 20, None, 30, 5)  # scheduled after it runs
 
 
-def test_resume_at_virtual_ancestry_orders_same_tick_events(Engine):
+def test_resume_at_virtual_ancestry_orders_same_tick_events():
     """A resumed event with earlier virtual ancestry runs before a
     same-tick event scheduled later in wall-clock order — exactly where
     the never-parked execution would have placed it."""
@@ -265,7 +251,7 @@ def test_resume_at_virtual_ancestry_orders_same_tick_events(Engine):
     assert order == ["resumed", "producer"]
 
 
-def test_max_events_guard(Engine):
+def test_max_events_guard():
     eng = Engine()
 
     def spinner():
@@ -277,7 +263,7 @@ def test_max_events_guard(Engine):
         eng.run(max_events=100)
 
 
-def test_unsupported_yield_raises(Engine):
+def test_unsupported_yield_raises():
     eng = Engine()
 
     def bad():
@@ -288,7 +274,7 @@ def test_unsupported_yield_raises(Engine):
         eng.run()
 
 
-def test_live_process_count(Engine):
+def test_live_process_count():
     eng = Engine()
 
     def proc():
@@ -299,3 +285,101 @@ def test_live_process_count(Engine):
     assert eng.live_processes == 2
     eng.run()
     assert eng.live_processes == 0
+
+
+def _random_workload(eng, trace, seed):
+    """A seeded tangle of processes exercising every engine primitive.
+
+    Mixes plain timeouts, channel traffic, events, joins, parks and
+    same-tick ``resume_at`` with past virtual ancestry.
+    """
+    lfsr = LFSR16(seed)
+    ch = eng.channel(latency=2, interval=3)
+    evt = eng.event("gate")
+    parked = []
+
+    def sleeper(tag):
+        value = yield Park()
+        trace.append(("woke", tag, eng.now, value))
+
+    def producer(tag, rounds):
+        for i in range(rounds):
+            yield Timeout(1 + lfsr.next() % 7)
+            ch.put((tag, i))
+            trace.append(("put", tag, i, eng.now))
+            if lfsr.next() % 4 == 0 and parked:
+                proc = parked.pop()
+                # Wake with *past* virtual ancestry at the current tick:
+                # it sorts ahead of later same-tick events.
+                eng.resume_at(proc, eng.now, tag,
+                              max(0, eng.now - 1), max(0, eng.now - 2))
+        trace.append(("producer-done", tag, eng.now))
+
+    def consumer(tag, count):
+        for _ in range(count):
+            item = yield Get(ch)
+            trace.append(("got", tag, item, eng.now))
+            yield Timeout(lfsr.next() % 5)
+        trace.append(("consumer-done", tag, eng.now))
+
+    def chain(tag, links):
+        for _ in range(links):
+            yield Timeout(3)
+        trace.append(("chain-done", tag, eng.now))
+        evt.trigger(tag)
+
+    def joiner(proc, tag):
+        value = yield proc
+        trace.append(("joined", tag, value, eng.now))
+        gate = yield evt
+        trace.append(("gated", tag, gate, eng.now))
+
+    for k in range(3):
+        parked.append(eng.process(sleeper(k), name=f"sleeper{k}"))
+    p = eng.process(producer("p0", 12), name="p0")
+    eng.process(producer("p1", 9), name="p1")
+    eng.process(consumer("c0", 14), name="c0")
+    eng.process(consumer("c1", 7), name="c1")
+    eng.process(chain("chain", 40), name="chain")
+    eng.process(joiner(p, "j0"), name="j0")
+
+
+@pytest.mark.parametrize("seed", [0xACE1, 0xBEEF])
+def test_randomized_workload_identical_under_bounded_runs(seed):
+    """Driving a workload in ``until`` chunks (the watchdog pattern)
+    reproduces the unbounded run's trace exactly."""
+    eng = Engine()
+    full = []
+    _random_workload(eng, full, seed)
+    eng.run()
+    assert eng.finished
+
+    eng = Engine()
+    chunked = []
+    _random_workload(eng, chunked, seed)
+    horizon = 0
+    while not eng.finished:
+        horizon += 17
+        eng.run(until=horizon)
+    assert chunked == full
+    assert ("gated", "j0", "chain", 120) in full
+
+
+def test_mid_tick_failure_leaves_suffix_pending():
+    """A callback raising mid-tick must not lose the same-tick suffix:
+    unexecuted events stay inspectable and a second run resumes them."""
+
+    class Boom(Exception):
+        pass
+
+    eng = Engine()
+    ran = []
+    eng.schedule(5, lambda: ran.append("a"))
+    eng.schedule(5, lambda: (_ for _ in ()).throw(Boom()))
+    eng.schedule(5, lambda: ran.append("c"))
+    with pytest.raises(Boom):
+        eng.run()
+    assert ran == ["a"]
+    assert eng.pending_events == 1
+    eng.run()
+    assert ran == ["a", "c"]

@@ -1,6 +1,6 @@
 """Unit tests for statistics helpers."""
 
-from repro.sim.engine import Engine
+from repro.kernel import Engine
 from repro.sim.stats import Counter, Histogram, StatsRegistry, UtilizationTracker
 
 

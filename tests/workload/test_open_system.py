@@ -2,8 +2,9 @@
 
 The contract (docs/WORKLOADS.md): an open-system run is a pure function
 of its spec.  The same workload produces bit-identical results across
-kernel backends, park modes, and serial-vs-parallel runners — the same
-invariances every closed-system run already guarantees.
+park modes and serial-vs-parallel runners — the same invariances every
+closed-system run already guarantees — and a recorded arrival stream
+replays exactly.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.core.exceptions import ConfigError
 from repro.exec import JobRunner, make_spec, simulate
 from repro.exec.record import RunRecord
+from repro.workload import DEFAULT_ARRIVAL_SEED, make_source
 
 WORKLOAD = dict(kind="stochastic", rate=4.0, num_jobs=12, seed=0xBEEF)
 
@@ -48,12 +50,21 @@ def test_park_mode_invariance():
     assert a.jobs == b.jobs
 
 
-def test_backend_invariance():
-    a, = _records(_spec(backend="reference"))
-    b, = _records(_spec(backend="fast"))
-    assert a.cycles == b.cycles
-    assert a.jobs == b.jobs
-    assert a.pe_stats == b.pe_stats
+def test_trace_replay_matches_stochastic_run():
+    # The stochastic stream's arrivals, replayed as a trace workload
+    # with the same tenants and window, must reproduce the run exactly;
+    # only the spec (and so its digest) differs.
+    tenants = [dict(name="gold", weight=3), dict(name="silver", weight=1)]
+    stochastic = dict(kind="stochastic", rate=6.0, num_jobs=24,
+                      seed=DEFAULT_ARRIVAL_SEED, tenants=tenants, window=2)
+    trace = dict(kind="trace", tenants=tenants, window=2, arrivals=[
+        [a.time, a.tenant] for a in make_source(stochastic).arrivals()])
+    live, replay = _records(_spec(workload=stochastic),
+                            _spec(workload=trace))
+    assert live.spec_digest != replay.spec_digest
+    assert len(live.jobs) == 24
+    assert (dict(replay.to_dict(), spec_digest=None)
+            == dict(live.to_dict(), spec_digest=None))
 
 
 def test_parallel_runner_matches_serial():
