@@ -55,12 +55,11 @@ job, and the run ledger records every completion unless ``--no-ledger``
 Robustness options (docs/EXECUTION.md, "Failure handling & recovery"):
 ``--retries N`` retries transient failures (timeouts with a raised
 deadline, worker crashes on a fresh pool) up to N extra attempts with
-deterministic backoff; ``--resume`` checkpoints every completion to a
-campaign manifest under ``<cache-dir>/manifests`` and skips jobs the
-manifest already holds — surviving SIGKILL even with ``--no-cache``;
-``--chaos SEED`` arms the deterministic host-fault injection harness
-(worker kills, cache corruption, transient I/O errors) for soak
-testing the above.
+deterministic backoff; ``--chaos SEED`` arms the deterministic
+host-fault injection harness (worker kills, cache corruption, transient
+I/O errors) for soak testing the above.  A SIGKILLed campaign resumes
+by re-running the same command with the cache on: only the jobs the
+cache does not hold simulate again.
 """
 
 from __future__ import annotations
@@ -121,9 +120,6 @@ def _make_runner(args):
 
     Robustness wiring (docs/EXECUTION.md): ``--retries N`` builds a
     :class:`~repro.exec.RetryPolicy` with N+1 total attempts;
-    ``--resume`` points the runner at ``<cache-root>/manifests`` for
-    campaign checkpoints (the manifest dir uses the cache *root* even
-    under ``--no-cache`` — resuming without a cache is the point);
     ``--chaos SEED`` threads one seeded
     :class:`~repro.exec.ChaosPlan` through the runner, the cache, and
     the ledger.
@@ -159,17 +155,11 @@ def _make_runner(args):
         from repro.exec import RetryPolicy
 
         retry = RetryPolicy(max_attempts=args.retries + 1)
-    manifest_dir = None
-    if getattr(args, "resume", False):
-        from repro.exec.robust import default_manifest_dir
-
-        manifest_dir = default_manifest_dir(cache_root)
     return JobRunner(jobs=args.jobs, cache=cache,
                      progress=StderrProgress(ledger=ledger),
                      metrics=metrics, ledger=ledger,
                      profile_dir=profile_dir,
-                     retry=retry, chaos=chaos,
-                     manifest_dir=manifest_dir)
+                     retry=retry, chaos=chaos)
 
 
 def _finish_experiment(args, runner, results) -> int:
@@ -200,8 +190,6 @@ def _finish_experiment(args, runner, results) -> int:
         line = (f"jobs: {stats.submitted} submitted, "
                 f"{stats.deduplicated} deduplicated, "
                 f"{stats.cached} cached, {stats.executed} simulated")
-        if stats.resumed:
-            line += f", {stats.resumed} resumed"
         if stats.failed:
             line += f", {stats.failed} failed"
         if stats.retried:
@@ -597,11 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retry transient failures (timeouts, "
                        "worker crashes) up to N extra attempts with "
                        "deterministic backoff (default 0: fail fast)")
-        p.add_argument("--resume", action="store_true",
-                       help="checkpoint completions to a campaign "
-                       "manifest (<cache-dir>/manifests) and skip "
-                       "jobs it already holds — survives SIGKILL "
-                       "even with --no-cache")
         p.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="inject deterministic host faults (worker "
                        "kills, cache corruption, transient I/O "

@@ -17,12 +17,13 @@ here as three pieces:
   interrupted campaigns resume for free.
 
 Campaigns on a fallible host get a fourth piece — **robustness**
-(:mod:`repro.exec.robust`, :mod:`repro.exec.chaos`): a
-:class:`RetryPolicy` re-runs transient failures with deterministic
-backoff, the cache self-heals corrupt entries into quarantine, a
-:class:`CampaignManifest` checkpoints completed jobs so ``--resume``
-survives a SIGKILL, and a seeded :class:`ChaosPlan` injects host
-faults to prove all of it under test.
+(:mod:`repro.exec.robust`, :mod:`repro.exec.chaos`): every parallel
+batch runs on a supervised pool that rebuilds itself after a worker
+death, a :class:`RetryPolicy` re-runs transient failures with
+deterministic backoff, the cache self-heals corrupt entries into
+quarantine (and is the one store a SIGKILLed campaign resumes from),
+and a seeded :class:`ChaosPlan` injects host faults to prove all of it
+under test.
 
 Every experiment producer in the repo (``repro.harness.*``,
 ``repro.resil.campaign``) emits spec lists and consumes records through
@@ -52,14 +53,7 @@ from repro.exec.record import (
     RunRecord,
     check_outcomes,
 )
-from repro.exec.robust import (
-    CampaignManifest,
-    RetryPolicy,
-    campaign_id,
-    default_manifest_dir,
-    list_manifests,
-    unit_roll,
-)
+from repro.exec.robust import RetryPolicy, unit_roll
 from repro.exec.runner import (
     JobRunner,
     RunnerStats,
@@ -74,7 +68,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ENGINES",
     "FAILURE_KINDS",
-    "CampaignManifest",
     "ChaosError",
     "ChaosPlan",
     "CorruptEntryError",
@@ -90,14 +83,11 @@ __all__ = [
     "StderrProgress",
     "VerificationError",
     "bench_params",
-    "campaign_id",
     "check_outcomes",
     "code_salt",
     "default_cache_dir",
     "default_jobs",
-    "default_manifest_dir",
     "execute",
-    "list_manifests",
     "make_spec",
     "record_checksum",
     "simulate",

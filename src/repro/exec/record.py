@@ -207,30 +207,6 @@ class JobFailure:
             kind=kind,
         )
 
-    # -- serialisation (campaign manifests) -----------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec_digest": self.spec_digest,
-            "label": self.label,
-            "error_type": self.error_type,
-            "message": self.message,
-            "parallelxl": self.parallelxl,
-            "timed_out": self.timed_out,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "JobFailure":
-        return cls(
-            spec_digest=payload["spec_digest"],
-            label=payload["label"],
-            error_type=payload["error_type"],
-            message=payload["message"],
-            parallelxl=bool(payload.get("parallelxl", False)),
-            timed_out=bool(payload.get("timed_out", False)),
-            kind=payload.get("kind", "sim-error"),
-        )
-
 
 class JobFailedError(RuntimeError):
     """Raised by strict batch helpers when a job failed.

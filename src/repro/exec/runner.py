@@ -7,7 +7,7 @@ distill to a :class:`~repro.exec.record.RunRecord`, cache store.
 
 * ``jobs=1`` (the default, or ``REPRO_JOBS``) runs serially in-process —
   the reference path every parallel execution must match bit-for-bit;
-* ``jobs>1`` fans the non-cached jobs out over a
+* ``jobs>1`` fans the non-cached jobs out over a supervised
   ``concurrent.futures.ProcessPoolExecutor``.  Each worker builds its
   engine from scratch, so results are bit-identical to the serial path
   (every run owns its seeded LFSR streams; asserted by
@@ -34,22 +34,21 @@ every simulated job runs under ``cProfile`` with one capture per spec
 digest.
 
 And it is the host-side **robustness point** (docs/EXECUTION.md,
-"Failure handling & recovery"): give it a
-:class:`~repro.exec.robust.RetryPolicy` and transient failures
-(timeouts, worker crashes) are retried with exponential backoff and a
-raised deadline, broken process pools are rebuilt up to
-``max_pool_restarts`` times and then degraded to serial in-process
-execution instead of failing the batch; give it a ``manifest_dir`` and
-every completion is checkpointed to an atomic
-:class:`~repro.exec.robust.CampaignManifest`, so a re-run of the same
-batch (``--resume``) skips completed jobs even with the cache disabled
-and after a SIGKILL; give it a :class:`~repro.exec.chaos.ChaosPlan`
-and host faults are injected deterministically (the soak suite in
-``tests/exec/test_chaos.py``).
+"Failure handling & recovery"): every parallel batch is supervised —
+a worker death breaks the pool, the pool is rebuilt up to the retry
+policy's ``max_pool_restarts`` times (2 by default), and past that the
+remaining jobs degrade to serial in-process execution instead of
+failing the batch.  Give it a :class:`~repro.exec.robust.RetryPolicy`
+with more than one attempt and transient failures (timeouts, worker
+crashes) are also retried with exponential backoff and a raised
+deadline; give it a :class:`~repro.exec.chaos.ChaosPlan` and host
+faults are injected deterministically (the soak suite in
+``tests/exec/test_chaos.py``).  A killed campaign resumes from the
+result cache: re-running it re-simulates only the jobs the cache does
+not hold.
 
-All of these default to ``None`` and every emission site is behind an
-``is not None`` guard, so an unconfigured runner executes exactly the
-code it did before — simulated results are bit-identical either way
+Metrics, ledger, profiling and chaos default to ``None`` behind
+``is not None`` guards; simulated results are bit-identical either way
 (instrumentation only observes, and retries re-run a pure function).
 
 The ``fork`` start method is used when available so workers inherit the
@@ -75,6 +74,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.record import JobFailure, RunRecord, check_outcomes
+from repro.exec.robust import RetryPolicy
 from repro.exec.spec import JobSpec
 
 #: Environment variable providing the default ``jobs`` value.
@@ -314,7 +314,6 @@ class RunnerStats:
     failed: int = 0         # jobs that returned a JobFailure
     retried: int = 0        # failed attempts that were re-run
     quarantined: int = 0    # corrupt cache entries moved aside
-    resumed: int = 0        # jobs skipped via a campaign manifest
     pool_restarts: int = 0  # process pools rebuilt after worker death
     run_seconds: float = 0.0    # summed per-job simulation wall-clock
     cache_seconds: float = 0.0  # summed cache lookup + store wall-clock
@@ -326,8 +325,7 @@ class RunnerStats:
         Failed jobs never enter the cache (and never bump ``executed``),
         so warm-cache SLO gates like ``--expect-cached`` must count both
         — a batch that simulated *and failed* is just as cold as one
-        that simulated successfully.  Manifest-resumed jobs did not
-        simulate now, so they do not count.
+        that simulated successfully.
         """
         return self.executed + self.failed
 
@@ -336,7 +334,6 @@ class RunnerStats:
                     deduplicated=self.deduplicated, cached=self.cached,
                     executed=self.executed, failed=self.failed,
                     retried=self.retried, quarantined=self.quarantined,
-                    resumed=self.resumed,
                     pool_restarts=self.pool_restarts,
                     run_seconds=self.run_seconds,
                     cache_seconds=self.cache_seconds)
@@ -374,20 +371,16 @@ class JobRunner:
         (``<spec-digest>.pstats``), or ``None`` (default) for no
         profiling.  Cached hits are not profiled — nothing ran.
     retry:
-        A :class:`~repro.exec.robust.RetryPolicy`, or ``None``
-        (default) for today's single-attempt behaviour.  With a policy,
+        A :class:`~repro.exec.robust.RetryPolicy`; ``None`` (default)
+        means ``RetryPolicy(max_attempts=1)``: no job is re-attempted,
+        but broken pools are still rebuilt (twice) before the batch
+        degrades to serial in-process execution.  With more attempts,
         transient failures are retried (timeouts with a raised
-        deadline), broken pools are rebuilt, and repeated pool loss
-        degrades to serial in-process execution instead of failing.
+        deadline).
     chaos:
         A :class:`~repro.exec.chaos.ChaosPlan`, or ``None`` (default):
         deterministic host-fault injection (worker kills) for the soak
         suite.  Cache/ledger chaos is wired on those objects directly.
-    manifest_dir:
-        Directory for :class:`~repro.exec.robust.CampaignManifest`
-        checkpoints, or ``None`` (default).  When set, every ``run()``
-        batch writes one manifest keyed by its spec digests, and jobs
-        already completed there are skipped (``stats.resumed``).
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -396,8 +389,7 @@ class JobRunner:
                  progress: Optional[ProgressFn] = None,
                  metrics=None, ledger=None,
                  profile_dir: Union[str, Path, None] = None,
-                 retry=None, chaos=None,
-                 manifest_dir: Union[str, Path, None] = None) -> None:
+                 retry=None, chaos=None) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache
         self.timeout = timeout
@@ -405,9 +397,8 @@ class JobRunner:
         self.metrics = metrics
         self.ledger = ledger
         self.profile_dir = Path(profile_dir) if profile_dir else None
-        self.retry = retry
+        self.retry = RetryPolicy(max_attempts=1) if retry is None else retry
         self.chaos = chaos
-        self.manifest_dir = Path(manifest_dir) if manifest_dir else None
         self.stats = RunnerStats()
 
     # ------------------------------------------------------------------
@@ -449,13 +440,6 @@ class JobRunner:
                 "duplicate specs folded into another job").inc(
                 len(specs) - len(unique))
 
-        manifest = None
-        if self.manifest_dir is not None:
-            from repro.exec.robust import CampaignManifest
-
-            manifest = CampaignManifest.for_specs(self.manifest_dir,
-                                                  unique.values())
-
         outcomes: Dict[str, Outcome] = {}
         done = 0
         total = len(unique)
@@ -463,45 +447,34 @@ class JobRunner:
         def _complete(spec: JobSpec, outcome: Outcome, cached: bool,
                       run_seconds: float = 0.0,
                       queue_seconds: float = 0.0,
-                      lookup_seconds: float = 0.0,
-                      resumed: bool = False) -> None:
+                      lookup_seconds: float = 0.0) -> None:
             nonlocal done
             done += 1
             outcomes[spec.digest] = outcome
-            if resumed:
-                self.stats.resumed += 1
-            elif cached:
+            if cached:
                 self.stats.cached += 1
             elif outcome.ok:
                 self.stats.executed += 1
-            if not outcome.ok and not resumed:
+            if not outcome.ok:
                 self.stats.failed += 1
-            if not cached and not resumed:
+            if not cached:
                 self.stats.run_seconds += run_seconds
             if self.metrics is not None:
                 self._record_metrics(outcome, cached, run_seconds,
-                                     queue_seconds, resumed)
+                                     queue_seconds)
             if self.ledger is not None:
                 self.ledger.record_job(
                     spec, outcome, cached=cached,
                     run_seconds=run_seconds,
                     queue_seconds=queue_seconds,
                     lookup_seconds=lookup_seconds, jobs=self.jobs,
-                    resumed=resumed,
                 )
-            if manifest is not None and not resumed:
-                manifest.record(spec, outcome)
             if self.progress is not None:
                 self.progress(done, total, spec, outcome, cached)
 
         pending: List[JobSpec] = []
         batch_start = time.perf_counter()
         for spec in unique.values():
-            if manifest is not None:
-                prior = manifest.completed(spec.digest)
-                if prior is not None:
-                    _complete(spec, prior, cached=True, resumed=True)
-                    continue
             record, lookup = self._cache_get(spec)
             if record is not None:
                 _complete(spec, record, cached=True,
@@ -510,10 +483,7 @@ class JobRunner:
                 pending.append(spec)
 
         if self.jobs > 1 and len(pending) > 1:
-            if self.retry is None and self.chaos is None:
-                self._run_parallel(pending, _complete)
-            else:
-                self._run_parallel_robust(pending, _complete)
+            self._run_parallel(pending, _complete)
         else:
             self._run_serial(pending, _complete, batch_start)
 
@@ -524,7 +494,7 @@ class JobRunner:
                     complete: Callable[..., None],
                     batch_start: Optional[float] = None,
                     attempts: Optional[Dict[str, int]] = None) -> None:
-        """In-process execution with the retry loop when configured.
+        """In-process execution with the retry loop.
 
         ``attempts`` carries per-digest attempt counts accumulated by a
         degraded parallel batch, so retry budgets span the degradation.
@@ -535,13 +505,11 @@ class JobRunner:
         for spec in pending:
             attempt = attempts.get(spec.digest, 0) if attempts else 0
             while True:
-                timeout = (policy.timeout_for(self.timeout, attempt)
-                           if policy is not None else self.timeout)
                 outcome, run_seconds, queue_seconds = _worker(
-                    spec, timeout, batch_start,
-                    self._profile_path(spec))
-                if (not outcome.ok and policy is not None
-                        and policy.should_retry(outcome, attempt)):
+                    spec, policy.timeout_for(self.timeout, attempt),
+                    batch_start, self._profile_path(spec))
+                if not outcome.ok and policy.should_retry(outcome,
+                                                          attempt):
                     self._note_retry(spec, outcome, run_seconds,
                                      queue_seconds)
                     policy.sleep(policy.delay(spec.digest, attempt))
@@ -553,37 +521,9 @@ class JobRunner:
                      run_seconds=run_seconds,
                      queue_seconds=queue_seconds)
 
-    # -- parallel path, unsupervised (the historical code path) --------
+    # -- parallel path (jobs>1) ----------------------------------------
     def _run_parallel(self, pending: List[JobSpec],
                       complete: Callable[..., None]) -> None:
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 mp_context=self._mp_context()) as pool:
-            submitted_at = time.perf_counter()
-            futures = {
-                pool.submit(_worker, spec, self.timeout, submitted_at,
-                            self._profile_path(spec)): spec
-                for spec in pending
-            }
-            remaining = len(futures)
-            for future in as_completed(futures):
-                spec = futures[future]
-                self._note_occupancy(remaining)
-                remaining -= 1
-                run_seconds = queue_seconds = 0.0
-                try:
-                    outcome, run_seconds, queue_seconds = future.result()
-                except Exception as exc:   # worker process died
-                    outcome = JobFailure.from_exception(
-                        spec.digest, spec.label, exc, kind="crash"
-                    )
-                self._cache_put(spec, outcome)
-                complete(spec, outcome, cached=False,
-                         run_seconds=run_seconds,
-                         queue_seconds=queue_seconds)
-
-    # -- parallel path, supervised (retry and/or chaos configured) -----
-    def _run_parallel_robust(self, pending: List[JobSpec],
-                             complete: Callable[..., None]) -> None:
         """Pool execution with supervision, retries, and chaos kills.
 
         Runs in rounds: each round submits every unfinished spec to a
@@ -595,11 +535,8 @@ class JobRunner:
         losses, the remaining jobs degrade to serial in-process
         execution with a warning rather than failing the batch.
         """
-        from repro.exec.robust import DEFAULT_POOL_RESTARTS
-
         policy = self.retry
-        restart_limit = (policy.max_pool_restarts if policy is not None
-                         else DEFAULT_POOL_RESTARTS)
+        restart_limit = policy.max_pool_restarts
         todo: Dict[str, JobSpec] = {s.digest: s for s in pending}
         attempts: Dict[str, int] = {d: 0 for d in todo}
         submissions: Dict[str, int] = {d: 0 for d in todo}
@@ -619,9 +556,8 @@ class JobRunner:
                             and self.chaos.kill_worker(
                                 digest, submissions[digest]))
                     submissions[digest] += 1
-                    timeout = (policy.timeout_for(self.timeout,
-                                                  attempts[digest])
-                               if policy is not None else self.timeout)
+                    timeout = policy.timeout_for(self.timeout,
+                                                 attempts[digest])
                     futures[pool.submit(
                         _worker, spec, timeout, submitted_at,
                         self._profile_path(spec), kill)] = spec
@@ -646,9 +582,8 @@ class JobRunner:
                         outcome = JobFailure.from_exception(
                             spec.digest, spec.label, exc, kind="crash"
                         )
-                    if (not outcome.ok and policy is not None
-                            and policy.should_retry(outcome,
-                                                    attempts[digest])):
+                    if not outcome.ok and policy.should_retry(
+                            outcome, attempts[digest]):
                         self._note_retry(spec, outcome, run_seconds,
                                          queue_seconds)
                         retried_this_round.append(digest)
@@ -684,7 +619,7 @@ class JobRunner:
                     self._run_serial(list(todo.values()), complete,
                                      attempts=attempts)
                     return
-            if retried_this_round and policy is not None:
+            if retried_this_round:
                 policy.sleep(max(
                     policy.delay(d, attempts[d] - 1)
                     for d in retried_this_round))
@@ -776,16 +711,11 @@ class JobRunner:
                 volatile=True).record(store)
 
     def _record_metrics(self, outcome: Outcome, cached: bool,
-                        run_seconds: float, queue_seconds: float,
-                        resumed: bool = False) -> None:
+                        run_seconds: float, queue_seconds: float) -> None:
         """Per-completion metric emission (``self.metrics`` is set)."""
         from repro.obs.metrics import CYCLES_BUCKETS
 
         metrics = self.metrics
-        if resumed:
-            metrics.counter("exec.jobs.resumed",
-                            "jobs skipped via a campaign manifest").inc()
-            return
         if cached:
             metrics.counter("exec.jobs.cached", "cache hits").inc()
         elif outcome.ok:

@@ -123,7 +123,7 @@ class RunLedger:
     def record_job(self, spec, outcome, *, cached: bool,
                    run_seconds: float = 0.0, queue_seconds: float = 0.0,
                    lookup_seconds: float = 0.0, jobs: int = 1,
-                   retried: bool = False, resumed: bool = False) -> None:
+                   retried: bool = False) -> None:
         """Ledger one :class:`~repro.exec.runner.JobRunner` completion."""
         from repro.exec.cache import code_salt
 
@@ -147,9 +147,6 @@ class RunLedger:
             # A failed attempt about to be re-run: visible in history,
             # excluded from the ETA estimator's mean.
             entry["retried"] = True
-        if resumed:
-            # Served from a campaign manifest, not simulated now.
-            entry["resumed"] = True
         if outcome.ok:
             entry["cycles"] = outcome.cycles
         else:
@@ -183,11 +180,10 @@ class RunLedger:
         entries — the prior the progress printer uses for its first ETA
         before this batch has produced timings of its own.  Retried
         attempts are excluded — they measure a fault (a timeout budget,
-        a mid-job kill), not a job's cost — as are manifest-resumed
-        completions, which did not simulate at all."""
+        a mid-job kill), not a job's cost."""
         timed = [e["run_seconds"] for e in self.entries(window)
                  if not e.get("cached") and not e.get("retried")
-                 and not e.get("resumed") and e.get("run_seconds")]
+                 and e.get("run_seconds")]
         if not timed:
             return None
         return sum(timed) / len(timed)

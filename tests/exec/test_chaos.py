@@ -1,8 +1,8 @@
 """Host-fault soak suite: chaos runs must match the fault-free truth.
 
 The contract (docs/EXECUTION.md, "Failure handling & recovery"): with
-retries, cache self-healing, pool supervision, and checkpointing armed,
-a batch running under an aggressive seeded :class:`ChaosPlan` —
+retries, cache self-healing, and pool supervision armed, a batch
+running under an aggressive seeded :class:`ChaosPlan` —
 workers killed mid-job, cache entries corrupted, transient I/O errors
 — still *completes*, and every record is bit-identical to a fault-free
 serial reference, because simulation is a pure function of the spec
@@ -10,6 +10,7 @@ and every injected host fault is retried, quarantined, or degraded
 around.
 """
 
+import os
 import warnings
 
 import pytest
@@ -78,7 +79,6 @@ def test_soak_parallel_chaos_matches_serial_reference(tmp_path,
         cache=ResultCache(tmp_path, chaos=chaos),
         retry=_quiet_policy(),
         chaos=chaos,
-        manifest_dir=tmp_path / "manifests",
     )
     with warnings.catch_warnings():
         # Pool degradation (if this seed triggers it) is expected.
@@ -181,33 +181,55 @@ def test_pool_loss_degrades_to_serial_and_completes(reference):
     assert runner.stats.pool_restarts == 2   # budget 1, exceeded on 2nd
 
 
+def test_real_worker_death_is_supervised_by_default(tmp_path,
+                                                   monkeypatch,
+                                                   reference):
+    """A runner with no retry policy and no chaos plan still survives a
+    worker that really dies: the pool is rebuilt and every job
+    completes bit-identically."""
+    from repro.exec import runner as runner_mod
+
+    parent = os.getpid()
+    run_job = runner_mod._run_job
+
+    def dies_on_first_sight(spec, timeout):
+        marker = tmp_path / spec.digest
+        if os.getpid() != parent and not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return run_job(spec, timeout)
+
+    monkeypatch.setattr(runner_mod, "_run_job", dies_on_first_sight)
+    runner = JobRunner(jobs=2)
+    # Two specs: each round sees at least one new spec, so at most two
+    # pools break, within the default rebuild budget.
+    records = runner.run_checked(_specs()[:2])
+    assert [r.digest for r in records] == reference[:2]
+    assert runner.stats.pool_restarts >= 1
+
+
 def test_sigkilled_campaign_resumes_with_zero_resimulation(tmp_path,
                                                            reference):
-    """The --resume acceptance: a killed campaign re-simulates nothing
-    it completed, even with no cache at all."""
+    """The resume acceptance: re-running a killed campaign on its cache
+    re-simulates nothing it completed."""
+    from repro.exec import code_salt
+
     specs = _specs()
-    manifest_dir = tmp_path / "manifests"
 
-    # "First run": dies (SIGKILL) after completing 20 of 30 jobs — the
-    # manifest saw those 20 appends and nothing else.
-    first = JobRunner(manifest_dir=manifest_dir)
+    # "First run": dies (SIGKILL) after completing 20 of 30 jobs, in the
+    # middle of storing the 21st — leaving its temp file behind.
+    first = JobRunner(cache=ResultCache(tmp_path))
     first.run_checked(specs[:20])
-    # The partial batch has its own campaign id; simulate the kill by
-    # rewriting its manifest under the full batch's id, exactly the
-    # bytes a killed 30-job run would have left behind.
-    from repro.exec.robust import CampaignManifest, campaign_id
+    (tmp_path / code_salt() / "tmpkilled.tmp").write_text('{"salt": "')
 
-    partial = CampaignManifest.for_specs(manifest_dir, specs[:20])
-    full_id = campaign_id(s.digest for s in specs)
-    (manifest_dir / f"{full_id}.jsonl").write_bytes(
-        partial.path.read_bytes())
-
-    resumed = JobRunner(manifest_dir=manifest_dir)
+    resumed = JobRunner(cache=ResultCache(tmp_path))
     records = resumed.run_checked(specs)
-    assert resumed.stats.resumed == 20
+    assert resumed.stats.cached == 20
     assert resumed.stats.executed == 10, \
         "only the jobs the killed run never finished may simulate"
     assert [r.digest for r in records] == reference
+    valid, corrupt = resumed.cache.verify()
+    assert corrupt == [] and valid == 30
 
 
 def test_chaos_error_is_an_oserror():

@@ -102,12 +102,12 @@ def test_runner_stats_dict():
     # timing summary both consume these exact keys.
     assert sorted(stats) == ["cache_seconds", "cached", "deduplicated",
                              "executed", "failed", "pool_restarts",
-                             "quarantined", "resumed", "retried",
-                             "run_seconds", "submitted"]
+                             "quarantined", "retried", "run_seconds",
+                             "submitted"]
     assert stats["run_seconds"] > 0.0
     assert stats["cache_seconds"] == 0.0       # no cache configured
     assert stats["retried"] == stats["quarantined"] == 0
-    assert stats["resumed"] == stats["pool_restarts"] == 0
+    assert stats["pool_restarts"] == 0
 
 
 def test_runner_stats_cache_seconds(tmp_path):
