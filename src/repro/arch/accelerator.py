@@ -80,6 +80,10 @@ class BaseAccelerator:
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()
+        # Memory-port index per PE, resolved once (mem_stall_cycles runs
+        # on every memory op).
+        self._mem_ports = [self._mem_requester(i)
+                           for i in range(config.num_pes)]
         if config.shared_worker_kinds is not None:
             from repro.arch.hetero import SharedWorkerUnits
 
@@ -148,7 +152,7 @@ class BaseAccelerator:
         """Stall cycles (in the accelerator clock) for one memory op."""
         now_ns = self.config.clock.cycles_to_ns(self.engine.now)
         result = self.memory.access(
-            self._mem_requester(pe_id), op.addr, op.nbytes, op.is_write, now_ns
+            self._mem_ports[pe_id], op.addr, op.nbytes, op.is_write, now_ns
         )
         if result.stall_ns <= 0.0:
             return 0

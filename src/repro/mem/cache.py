@@ -71,9 +71,17 @@ class CacheStats:
 class Cache:
     """One cache: a set-indexed array of (tag → state) with LRU order.
 
-    Parameters are in bytes; ``size`` must be a multiple of
-    ``assoc * line_size``.
+    Parameters are in bytes; ``line_size`` must be a power of two and
+    ``size`` a multiple of ``assoc * line_size``.  The set count need not
+    be a power of two (a 48 kB 2-way cache has 384 sets).
     """
+
+    #: Sharer directory of the enclosing coherence domain (line → number
+    #: of L1s holding a valid copy), set by
+    #: :class:`repro.mem.coherence.CoherenceDomain` on its L1s and kept
+    #: current by :meth:`fill`, :meth:`invalidate` and :meth:`set_state`.
+    #: ``None`` on the L2 and on caches outside a domain.
+    holders: Optional[Dict[int, int]] = None
 
     def __init__(
         self,
@@ -82,6 +90,8 @@ class Cache:
         assoc: int,
         line_size: int = 64,
     ) -> None:
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ValueError(f"line size must be a power of two: {line_size}")
         if size % (assoc * line_size):
             raise ValueError(
                 f"cache size {size} not divisible by assoc*line "
@@ -92,12 +102,21 @@ class Cache:
         self.assoc = assoc
         self.line_size = line_size
         self.num_sets = size // (assoc * line_size)
+        self._line_shift = line_size.bit_length() - 1
         # Each set is an OrderedDict: line_base -> State, LRU first.
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
     def _set_of(self, line: int) -> OrderedDict:
-        return self._sets[(line // self.line_size) % self.num_sets]
+        return self._sets[(line >> self._line_shift) % self.num_sets]
+
+    def _drop_holder(self, line: int) -> None:
+        holders = self.holders
+        count = holders[line] - 1
+        if count:
+            holders[line] = count
+        else:
+            del holders[line]
 
     # ------------------------------------------------------------------
     # Lookup / state manipulation.  These are mechanism only; the policy
@@ -106,6 +125,15 @@ class Cache:
     def lookup(self, line: int) -> State:
         """State of ``line`` (``INVALID`` if absent).  Does not touch LRU."""
         return self._set_of(line).get(line, State.INVALID)
+
+    def probe(self, line: int) -> Optional[State]:
+        """State of ``line`` marked most-recently-used, or ``None`` if
+        absent: :meth:`lookup` and :meth:`touch` in one set index."""
+        s = self._sets[(line >> self._line_shift) % self.num_sets]
+        state = s.get(line)
+        if state is not None:
+            s.move_to_end(line)
+        return state
 
     def touch(self, line: int) -> None:
         """Mark ``line`` most-recently-used."""
@@ -117,7 +145,8 @@ class Cache:
         """Update the state of a *present* line, or drop it on INVALID."""
         s = self._set_of(line)
         if state is State.INVALID:
-            s.pop(line, None)
+            if s.pop(line, None) is not None and self.holders is not None:
+                self._drop_holder(line)
             return
         if line not in s:
             raise KeyError(f"{self.name}: line {line:#x} not present")
@@ -129,23 +158,31 @@ class Cache:
         The victim is the LRU line of the set.  The caller handles any
         writeback the victim's state requires.
         """
-        s = self._set_of(line)
+        s = self._sets[(line >> self._line_shift) % self.num_sets]
+        if line in s:
+            s[line] = state
+            s.move_to_end(line)
+            return None
         victim = None
-        if line not in s and len(s) >= self.assoc:
-            victim_line, victim_state = next(iter(s.items()))
-            del s[victim_line]
+        holders = self.holders
+        if len(s) >= self.assoc:
+            victim = s.popitem(last=False)
             self.stats.evictions += 1
-            victim = (victim_line, victim_state)
+            if holders is not None:
+                self._drop_holder(victim[0])
         s[line] = state
-        s.move_to_end(line)
+        if holders is not None:
+            holders[line] = holders.get(line, 0) + 1
         return victim
 
     def invalidate(self, line: int) -> State:
         """Snoop-invalidate ``line``; returns its previous state."""
-        s = self._set_of(line)
-        state = s.pop(line, State.INVALID)
-        if state.is_valid:
-            self.stats.invalidations_received += 1
+        state = self._set_of(line).pop(line, None)
+        if state is None:
+            return State.INVALID
+        self.stats.invalidations_received += 1
+        if self.holders is not None:
+            self._drop_holder(line)
         return state
 
     def contents(self) -> Dict[int, State]:

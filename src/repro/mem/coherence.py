@@ -20,16 +20,28 @@ resolves each line access to a stall time:
 * Writes are posted: write misses and upgrades perform all state changes
   and consume DRAM bandwidth, but do not stall the requester (store
   buffers on the CPU, decoupled store queues in the accelerator).
+
+The domain also keeps a sharer directory, :attr:`CoherenceDomain.holders`
+(line → number of L1s holding a valid copy).  It is host-side
+bookkeeping, not a modelled structure: it only lets the simulator skip
+peer probes that would find nothing, so the snooping protocol and its
+timing are exactly those above.  :meth:`CoherenceDomain.check_directory`
+audits it against the caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.mem.cache import Cache, State
 from repro.mem.dram import DRAM
 from repro.mem.memory import lines_touched
+
+# Module-level aliases: the hot paths compare states by identity.
+_MODIFIED = State.MODIFIED
+_OWNED = State.OWNED
+_EXCLUSIVE = State.EXCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -50,11 +62,6 @@ class AccessResult:
     stall_ns: float = 0.0
     line_hits: int = 0
     line_misses: int = 0
-
-    def merge(self, other: "AccessResult") -> None:
-        self.stall_ns += other.stall_ns
-        self.line_hits += other.line_hits
-        self.line_misses += other.line_misses
 
 
 @dataclass
@@ -92,6 +99,11 @@ class CoherenceDomain:
         self.l2_bytes_per_ns = l2_bandwidth_gbps
         self._l2_next_free = 0.0
         self.stats = DomainStats()
+        # Sharer directory shared with every L1, seeded from lines the
+        # caches already hold.
+        self.holders = self._count_holders()
+        for l1 in l1s:
+            l1.holders = self.holders
 
     # ------------------------------------------------------------------
     def access(
@@ -112,53 +124,45 @@ class CoherenceDomain:
         Dependent accesses (e.g. spmv's x gathers) are separate ops and
         therefore still serialise against each other.
         """
-        result = AccessResult()
-        max_stall = 0.0
-        for line in lines_touched(addr, nbytes, self.line_size):
-            one = self._access_line(requester, line, is_write, now_ns)
-            result.line_hits += one.line_hits
-            result.line_misses += one.line_misses
-            max_stall = max(max_stall, one.stall_ns)
-        result.stall_ns = max_stall
-        return result
-
-    # ------------------------------------------------------------------
-    def _access_line(
-        self, requester: int, line: int, is_write: bool, now_ns: float
-    ) -> AccessResult:
         l1 = self.l1s[requester]
-        state = l1.lookup(line)
-        if state.is_valid:
-            l1.touch(line)
+        stats = l1.stats
+        line_size = self.line_size
+        prefetch = self.prefetch
+        hits = misses = 0
+        max_stall = 0.0
+        for line in lines_touched(addr, nbytes, line_size):
+            state = l1.probe(line)
+            if state is None:
+                misses += 1
+                if is_write:
+                    # Posted write: all state changes happen, no stall.
+                    stats.write_misses += 1
+                    self._fetch_line(requester, line, True, now_ns)
+                    continue
+                stats.read_misses += 1
+                stall = self._fetch_line(requester, line, False, now_ns)
+                if stall > max_stall:
+                    max_stall = stall
+                if prefetch:
+                    self._prefetch_line(requester, line + line_size, now_ns)
+                continue
+            hits += 1
             if not is_write:
-                l1.stats.read_hits += 1
-                if self.prefetch:
-                    self._prefetch_line(requester, line + self.line_size,
-                                        now_ns)
-                return AccessResult(0.0, 1, 0)
-            if state.can_write:
-                l1.stats.write_hits += 1
-                l1.set_state(line, State.MODIFIED)
-                return AccessResult(0.0, 1, 0)
-            # Write hit on a Shared/Owned line: bus upgrade (posted — the
-            # store buffer hides it from the requester).
-            l1.stats.write_hits += 1
-            l1.stats.upgrades += 1
-            self.stats.upgrades += 1
-            self._invalidate_peers(requester, line)
-            l1.set_state(line, State.MODIFIED)
-            return AccessResult(0.0, 1, 0)
-        # Miss.
-        if is_write:
-            l1.stats.write_misses += 1
-        else:
-            l1.stats.read_misses += 1
-        stall = self._fetch_line(requester, line, is_write, now_ns)
-        if self.prefetch and not is_write:
-            self._prefetch_line(requester, line + self.line_size, now_ns)
-        if is_write:
-            stall = 0.0  # posted write: state changes done, no stall
-        return AccessResult(stall, 0, 1)
+                stats.read_hits += 1
+                if prefetch:
+                    self._prefetch_line(requester, line + line_size, now_ns)
+                continue
+            stats.write_hits += 1
+            if state is _MODIFIED:
+                continue
+            if state is not _EXCLUSIVE:
+                # Write hit on a Shared/Owned line: bus upgrade (posted —
+                # the store buffer hides it from the requester).
+                stats.upgrades += 1
+                self.stats.upgrades += 1
+                self._invalidate_peers(requester, line)
+            l1.set_state(line, _MODIFIED)
+        return AccessResult(max_stall, hits, misses)
 
     def _fetch_line(
         self, requester: int, line: int, is_write: bool, now_ns: float
@@ -204,17 +208,21 @@ class CoherenceDomain:
     def _snoop(self, requester: int, line: int):
         """Return (index of a dirty holder, index of a clean holder)."""
         dirty = clean = None
+        if line not in self.holders:
+            return dirty, clean
         for i, peer in enumerate(self.l1s):
             if i == requester:
                 continue
             state = peer.lookup(line)
-            if state.is_dirty:
+            if state is _MODIFIED or state is _OWNED:
                 dirty = i
-            elif state.is_valid and clean is None:
+            elif state is not State.INVALID and clean is None:
                 clean = i
         return dirty, clean
 
     def _invalidate_peers(self, requester: int, line: int) -> None:
+        if line not in self.holders:
+            return
         for i, peer in enumerate(self.l1s):
             if i != requester:
                 peer.invalidate(line)
@@ -224,7 +232,7 @@ class CoherenceDomain:
         victim = self.l1s[requester].fill(line, state)
         if victim is not None:
             victim_line, victim_state = victim
-            if victim_state.is_dirty:
+            if victim_state is _MODIFIED or victim_state is _OWNED:
                 self.l1s[requester].stats.writebacks += 1
                 self.stats.l1_writebacks += 1
                 self._l2_note_modified(victim_line, fill_if_absent=True,
@@ -243,8 +251,7 @@ class CoherenceDomain:
         """Stall for supplying a line from the L2, fetching DRAM on miss."""
         queue_ns = self._l2_port_delay(now_ns)
         now_ns += queue_ns
-        if self.l2.lookup(line).is_valid:
-            self.l2.touch(line)
+        if self.l2.probe(line) is not None:
             self.l2.stats.read_hits += 1
             self.stats.l2_hits += 1
             return queue_ns + self.lat.l2_hit_ns
@@ -261,10 +268,11 @@ class CoherenceDomain:
             # Inclusion: evicting from L2 removes the line from all L1s;
             # a dirty L1 copy is folded into the writeback.
             dirty = victim_state.is_dirty
-            for l1 in self.l1s:
-                if l1.invalidate(victim_line).is_dirty:
-                    dirty = True
-                    self.stats.back_invalidations += 1
+            if victim_line in self.holders:
+                for l1 in self.l1s:
+                    if l1.invalidate(victim_line).is_dirty:
+                        dirty = True
+                        self.stats.back_invalidations += 1
             if dirty:
                 self.l2.stats.writebacks += 1
                 self.stats.l2_writebacks += 1
@@ -272,30 +280,24 @@ class CoherenceDomain:
 
     def _l2_note_modified(self, line: int, fill_if_absent: bool = False,
                           now_ns: float = 0.0) -> None:
-        if self.l2.lookup(line).is_valid:
-            self.l2.set_state(line, State.MODIFIED)
-            self.l2.touch(line)
+        if self.l2.probe(line) is not None:
+            self.l2.set_state(line, _MODIFIED)
         elif fill_if_absent:
             self._fill_l2(line, State.MODIFIED, now_ns)
 
     def _prefetch_line(self, requester: int, line: int, now_ns: float) -> None:
         """Next-line prefetch into the requester's L1 without stalling."""
-        l1 = self.l1s[requester]
-        if l1.lookup(line).is_valid:
+        # Skip if any L1 holds the line: the requester needs nothing, and
+        # a prefetch must not steal a peer's ownership or force
+        # invalidations.
+        if line in self.holders:
             return
-        # Skip if any peer holds the line: a prefetch must not steal
-        # ownership or force invalidations.
-        for i, peer in enumerate(self.l1s):
-            if i != requester and peer.lookup(line).is_valid:
-                return
         self.stats.prefetch_issued += 1
-        l1.stats.prefetch_fills += 1
-        if not self.l2.lookup(line).is_valid:
+        self.l1s[requester].stats.prefetch_fills += 1
+        if self.l2.probe(line) is None:
             self.dram.record_background(now_ns)
-            self._fill_l2(line, State.EXCLUSIVE, now_ns)
-        else:
-            self.l2.touch(line)
-        self._fill_l1(requester, line, State.EXCLUSIVE, now_ns)
+            self._fill_l2(line, _EXCLUSIVE, now_ns)
+        self._fill_l1(requester, line, _EXCLUSIVE, now_ns)
 
     # ------------------------------------------------------------------
     def check_inclusion(self) -> bool:
@@ -306,6 +308,19 @@ class CoherenceDomain:
                 if line not in l2_lines:
                     return False
         return True
+
+    def check_directory(self) -> bool:
+        """Sharer-directory invariant: :attr:`holders` equals a recount of
+        the valid lines in every L1."""
+        return self._count_holders() == self.holders
+
+    def _count_holders(self) -> Dict[int, int]:
+        """Line → number of L1s holding a valid copy, by full scan."""
+        counts: Dict[int, int] = {}
+        for l1 in self.l1s:
+            for line in l1.contents():
+                counts[line] = counts.get(line, 0) + 1
+        return counts
 
     def check_coherence(self) -> bool:
         """Single-writer invariant: at most one M/E holder per line, and

@@ -20,6 +20,24 @@ def test_invalid_geometry_rejected():
         Cache("bad", 1000, 3, 64)
 
 
+def test_non_power_of_two_line_size_rejected():
+    with pytest.raises(ValueError):
+        Cache("bad", 96 * 4, 2, 96)
+
+
+def test_non_power_of_two_set_count_indexes_by_modulo():
+    """48 kB 2-way has 384 sets: lines 384 sets apart share a set, so a
+    shift/mask index (which would need a power-of-two set count) fails
+    this."""
+    cache = make_cache(size=48 * 1024, assoc=2, line=64)
+    assert cache.num_sets == 384
+    stride = 384 * 64
+    assert cache.fill(0, State.EXCLUSIVE) is None
+    assert cache.fill(stride, State.EXCLUSIVE) is None
+    assert cache.fill(2 * stride, State.EXCLUSIVE) == (0, State.EXCLUSIVE)
+    assert cache.lookup(0) is State.INVALID
+
+
 def test_fill_and_lookup():
     cache = make_cache()
     assert cache.lookup(0) is State.INVALID
@@ -70,6 +88,17 @@ def test_invalidate_absent_line():
     cache = make_cache()
     assert cache.invalidate(0) is State.INVALID
     assert cache.stats.invalidations_received == 0
+
+
+def test_probe_returns_state_and_updates_lru():
+    cache = make_cache(size=256, assoc=2, line=64)
+    a, b, c = 0, 128, 256
+    assert cache.probe(a) is None
+    cache.fill(a, State.SHARED)
+    cache.fill(b, State.EXCLUSIVE)
+    assert cache.probe(a) is State.SHARED  # now b is LRU
+    victim = cache.fill(c, State.EXCLUSIVE)
+    assert victim == (b, State.EXCLUSIVE)
 
 
 def test_set_state_on_absent_line_raises():

@@ -177,3 +177,20 @@ def test_single_writer_invariant(ops):
         dom.access(requester, line_idx * 64, 4, is_write, 0.0)
     assert dom.check_coherence()
     assert dom.check_inclusion()
+
+
+def test_directory_seeded_from_caches_built_first():
+    l1s = [Cache(f"l1.{i}", 1024, 2, 64) for i in range(2)]
+    l2 = Cache("l2", 64 * 1024, 8, 64)
+    for l1 in l1s:
+        l2.fill(LINE, State.EXCLUSIVE)
+        l1.fill(LINE, State.SHARED)
+    l1s[0].fill(LINE + 64, State.MODIFIED)
+    l2.fill(LINE + 64, State.MODIFIED)
+    dom = CoherenceDomain(l1s, l2, DRAM(), MemLatencies(), prefetch=True)
+    assert dom.holders == {LINE: 2, LINE + 64: 1}
+    assert dom.l2.holders is None
+    # The read hit's next-line prefetch finds LINE + 64 held by a peer.
+    dom.access(1, LINE, 4, False, 0.0)
+    assert dom.stats.prefetch_issued == 0
+    assert dom.check_directory()
