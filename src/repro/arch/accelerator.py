@@ -80,10 +80,13 @@ class BaseAccelerator:
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()
-        # Memory-port index per PE, resolved once (mem_stall_cycles runs
-        # on every memory op).
+        # Resolved once, since mem_stall_cycles runs on every memory op:
+        # the memory-port index per PE, the bound access method and the
+        # accelerator clock period.
         self._mem_ports = [self._mem_requester(i)
                            for i in range(config.num_pes)]
+        self._mem_access = self.memory.access
+        self._period_ns = config.clock.period_ns
         if config.shared_worker_kinds is not None:
             from repro.arch.hetero import SharedWorkerUnits
 
@@ -150,9 +153,9 @@ class BaseAccelerator:
 
     def mem_stall_cycles(self, pe_id: int, op: MemOp) -> int:
         """Stall cycles (in the accelerator clock) for one memory op."""
-        now_ns = self.config.clock.cycles_to_ns(self.engine.now)
-        result = self.memory.access(
-            self._mem_ports[pe_id], op.addr, op.nbytes, op.is_write, now_ns
+        result = self._mem_access(
+            self._mem_ports[pe_id], op.addr, op.nbytes, op.is_write,
+            self.engine.now * self._period_ns,
         )
         if result.stall_ns <= 0.0:
             return 0

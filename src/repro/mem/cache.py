@@ -128,18 +128,12 @@ class Cache:
 
     def probe(self, line: int) -> Optional[State]:
         """State of ``line`` marked most-recently-used, or ``None`` if
-        absent: :meth:`lookup` and :meth:`touch` in one set index."""
+        absent."""
         s = self._sets[(line >> self._line_shift) % self.num_sets]
         state = s.get(line)
         if state is not None:
             s.move_to_end(line)
         return state
-
-    def touch(self, line: int) -> None:
-        """Mark ``line`` most-recently-used."""
-        s = self._set_of(line)
-        if line in s:
-            s.move_to_end(line)
 
     def set_state(self, line: int, state: State) -> None:
         """Update the state of a *present* line, or drop it on INVALID."""

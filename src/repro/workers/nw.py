@@ -58,18 +58,33 @@ CPU_COSTS = NwCosts(cell_per_4=28, block_fixed=80)
 
 def fill_block(h: np.ndarray, seq1: np.ndarray, seq2: np.ndarray,
                r0: int, c0: int, size: int) -> None:
-    """Fill DP cells ``h[r0:r0+size, c0:c0+size]`` (1-based score rows)."""
-    for i in range(r0, r0 + size):
-        a = seq1[i - 1]
-        row = h[i]
-        above = h[i - 1]
-        for j in range(c0, c0 + size):
-            score = MATCH if a == seq2[j - 1] else MISMATCH
-            row[j] = max(
-                above[j - 1] + score,
-                above[j] - GAP,
-                row[j - 1] - GAP,
-            )
+    """Fill DP cells ``h[r0:r0+size, c0:c0+size]`` (1-based score rows).
+
+    The north halo row, west halo column and sequence slices are pulled
+    out as Python ints and the recurrence runs on those.  Each finished
+    row keeps its west halo value in front, so one slice assignment
+    writes the block back (the halo column with the values it had).
+    """
+    r1, c1 = r0 + size, c0 + size
+    col = seq2[c0 - 1:c1 - 1].tolist()
+    above = h[r0 - 1, c0 - 1:c1].tolist()     # northwest corner first
+    west = h[r0:r1, c0 - 1].tolist()
+    rows = []
+    for a, left in zip(seq1[r0 - 1:r1 - 1].tolist(), west):
+        row = [left]
+        for b, diag, north in zip(col, above, above[1:]):
+            best = diag + MATCH if a == b else diag + MISMATCH
+            north -= GAP
+            if north > best:
+                best = north
+            left -= GAP
+            if left > best:
+                best = left
+            row.append(best)
+            left = best
+        rows.append(row)
+        above = row
+    h[r0:r1, c0 - 1:c1] = rows
 
 
 class NwWorker(Worker):
@@ -206,15 +221,28 @@ class NwBenchmark(Benchmark):
         self._expected = self._reference()
 
     def _reference(self) -> int:
+        """Fill the whole matrix row by row, independently of the
+        blocked worker kernel, so :meth:`verify` compares two algorithms.
+
+        Within a row, ``row[j] = max(t[j], row[j-1] - GAP)`` with ``t``
+        the diagonal/north candidates is a prefix max:
+        ``row = maximum.accumulate(max(t + GAP*j, row[0])) - GAP*j``.
+        """
+        n = self.n
         h = self.h.copy()
-        fill_block_full = fill_block
-        for bi in range(self.nb):
-            for bj in range(self.nb):
-                fill_block_full(h, self.seq1, self.seq2,
-                                bi * self.block + 1, bj * self.block + 1,
-                                self.block)
+        ramp = GAP * np.arange(1, n + 1, dtype=np.int64)
+        seq2 = self.seq2
+        above = h[0].astype(np.int64)
+        for i in range(1, n + 1):
+            score = np.where(seq2 == self.seq1[i - 1], MATCH, MISMATCH)
+            t = np.maximum(above[:-1] + score, above[1:] - GAP) + ramp
+            row = np.empty(n + 1, dtype=np.int64)
+            row[0] = h[i, 0]
+            row[1:] = np.maximum.accumulate(np.maximum(t, row[0])) - ramp
+            h[i] = row
+            above = row
         self._h_expected = h
-        return int(h[self.n, self.n])
+        return int(h[n, n])
 
     def flex_worker(self, platform: str = ACCEL) -> Worker:
         costs = ACCEL_COSTS if platform == ACCEL else CPU_COSTS

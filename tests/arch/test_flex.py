@@ -11,6 +11,8 @@ from repro.core.exceptions import (
     TaskQueueOverflowError,
 )
 from repro.core.task import HOST_CONTINUATION, Task
+from repro.exec import QUICK_PARAMS
+from repro.workers.bbgemm import BbgemmBenchmark
 from repro.workers.fib import FibWorker, fib_reference
 
 
@@ -135,6 +137,20 @@ def test_coherent_memory_mode_runs():
     result = accel.run(fib_task(12))
     assert result.value == fib_reference(12)
     assert "l1_hits" in result.mem_summary
+
+
+def test_l1_port_interval_adds_stall_through_accelerator():
+    """A nonzero per-line L1 port interval makes a tile's PEs contend for
+    their shared L1, which ``mem_stall_cycles`` must pass on as stall."""
+    def total_stall(**overrides):
+        bench = BbgemmBenchmark(**QUICK_PARAMS["bbgemm"])
+        accel = FlexAccelerator(flex_config(8, memory="coherent", **overrides),
+                                bench.flex_worker())
+        result = accel.run(bench.root_task())
+        assert bench.verify(result.value)
+        return sum(p.mem_stall_cycles for p in result.pe_stats)
+
+    assert total_stall(l1_port_interval_ns=10.0) > total_stall()
 
 
 def test_stream_memory_mode_runs():

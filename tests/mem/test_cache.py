@@ -62,7 +62,7 @@ def test_touch_updates_lru():
     a, b, c = 0, 128, 256
     cache.fill(a, State.EXCLUSIVE)
     cache.fill(b, State.EXCLUSIVE)
-    cache.touch(a)  # now b is LRU
+    cache.probe(a)  # now b is LRU
     victim = cache.fill(c, State.EXCLUSIVE)
     assert victim[0] == b
 

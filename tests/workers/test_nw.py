@@ -23,18 +23,36 @@ def serial_nw(seq1, seq2):
     return h
 
 
-def test_fill_block_matches_cellwise_reference():
+@pytest.mark.parametrize("block", [4, 8, 16])
+def test_fill_block_matches_cellwise_reference(block):
+    n = 32
     rng = np.random.default_rng(0)
-    seq1 = rng.integers(0, 4, 16).astype(np.int8)
-    seq2 = rng.integers(0, 4, 16).astype(np.int8)
+    seq1 = rng.integers(0, 4, n).astype(np.int8)
+    seq2 = rng.integers(0, 4, n).astype(np.int8)
     expected = serial_nw(seq1, seq2)
-    h = np.zeros((17, 17), dtype=np.int32)
-    h[0, :] = -GAP * np.arange(17)
-    h[:, 0] = -GAP * np.arange(17)
-    for bi in range(2):
-        for bj in range(2):
-            fill_block(h, seq1, seq2, bi * 8 + 1, bj * 8 + 1, 8)
+    h = np.zeros((n + 1, n + 1), dtype=np.int32)
+    h[0, :] = -GAP * np.arange(n + 1)
+    h[:, 0] = -GAP * np.arange(n + 1)
+    for bi in range(n // block):
+        for bj in range(n // block):
+            fill_block(h, seq1, seq2, bi * block + 1, bj * block + 1, block)
     assert np.array_equal(h, expected.astype(np.int32))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([16, 32, 48, 64, 128]),
+       block=st.sampled_from([4, 8, 16]),
+       seed=st.integers(0, 1000))
+def test_reference_matrix_matches_serial_oracle(n, block, seed):
+    """The benchmark's own reference matrix, which ``verify`` compares the
+    workers' matrix against, equals the cellwise oracle."""
+    if n % block:
+        return
+    bench = NwBenchmark(n=n, block=block, seed=seed)
+    reference = serial_nw(bench.seq1, bench.seq2)
+    assert bench._h_expected.dtype == np.int32
+    assert np.array_equal(bench._h_expected, reference)
+    assert bench.expected() == reference[n, n]
 
 
 @settings(max_examples=10, deadline=None)
